@@ -35,7 +35,6 @@
 //! ```
 
 pub mod collectives;
-pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod integrity;
@@ -48,7 +47,6 @@ pub mod trace;
 pub mod watchdog;
 
 pub use collectives::{AllreduceAlgorithm, Collectives, ReduceOp};
-pub use dynamic::{DynComm, ErasedComm, ScalarType};
 pub use error::{attribute_dead_ranks, CommError};
 pub use fault::{FaultPlan, FaultyComm, LINK_RETRY_BUDGET};
 pub use integrity::{IntegrityComm, IntegrityConfig, IntegrityState, DEFAULT_REPLAY_BYTES};
@@ -66,7 +64,7 @@ pub use sim::{
 pub use stats::{OpClass, TrafficStats};
 pub use subcomm::{SubComm, SubCommLayout};
 pub use trace::{
-    check_traces, CheckKind, CollectiveKind, Phase, RankTrace, SimSeconds, TraceEntry, TraceOp,
-    TraceRecorder, VerifyStats, Violation,
+    check_traces, CheckKind, CollectiveKind, Phase, RankTrace, ScalarType, SimSeconds, TraceEntry,
+    TraceOp, TraceRecorder, VerifyStats, Violation,
 };
 pub use watchdog::WatchdogConfig;

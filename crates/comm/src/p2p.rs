@@ -46,10 +46,10 @@ pub const fn sub_collective_tag(tag_salt: u64, counter: u64) -> Tag {
 /// traffic accounting (and hence for α–β time modeling).
 ///
 /// **Adding a scalar type:** do not write an `impl` by hand — add one
-/// line to [`for_each_comm_scalar!`] below. The macro generates this
-/// impl, the [`crate::dynamic::ScalarType`] dispatch tables, and the
-/// exhaustiveness tests in one stroke, so the type-erased path can never
-/// silently lag behind the generic one.
+/// line to [`for_each_comm_scalar!`] below (and a matching
+/// [`crate::trace::ScalarType`] variant). The macro generates this impl
+/// and the trace width table in one stroke; a test pins the two lists
+/// together.
 pub trait CommScalar: Copy + Send + 'static {
     /// Bytes per element on the modeled wire.
     const WIDTH: usize = std::mem::size_of::<Self>();
@@ -72,9 +72,9 @@ pub trait CommScalar: Copy + Send + 'static {
 /// callback macro once per scalar with `(type, ScalarType variant,
 /// corruption expression, checksum-bits expression)`. Everything that
 /// must stay in sync with the set of [`CommScalar`] impls — the impls
-/// themselves, the [`crate::dynamic::ScalarType`] dispatch tables, and
-/// the exhaustive round-trip test — is generated from this list;
-/// extending it is the only supported way to add a scalar.
+/// themselves and [`crate::trace::ScalarType::width`] — is generated
+/// from this list; extending it is the only supported way to add a
+/// scalar.
 macro_rules! for_each_comm_scalar {
     ($m:ident) => {
         $m!(f32, F32, |x: f32, m: u64| f32::from_bits(x.to_bits() ^ ((m as u32) | 1)), |x: f32| x

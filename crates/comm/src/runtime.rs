@@ -293,8 +293,12 @@ impl Communicator for WorldComm {
 
     /// Attribute sends issued inside `f` to `class`, restoring the
     /// previous class afterwards. Used by collectives and halo exchange.
+    /// Scopes nest outermost-wins: inside an enclosing non-`P2p` scope
+    /// the enclosing class stays, so a shuffle's inner all-to-all books
+    /// as `Shuffle`.
     fn with_class<R>(&self, class: OpClass, f: impl FnOnce() -> R) -> R {
-        let prev = self.class.replace(class);
+        let prev = self.class.get();
+        self.class.set(if prev == OpClass::P2p { class } else { prev });
         let r = f();
         self.class.set(prev);
         r
@@ -970,6 +974,29 @@ mod tests {
         });
         assert_eq!(stats[0].bytes(OpClass::Halo), 7);
         assert_eq!(stats[0].bytes(OpClass::P2p), 3);
+    }
+
+    #[test]
+    fn nested_class_scopes_attribute_to_the_outer_class() {
+        use crate::collectives::Collectives;
+        let stats = run_ranks(2, |comm| {
+            comm.with_class(OpClass::Shuffle, || {
+                comm.alltoallv(vec![vec![0.0f32; 4]; 2]);
+                comm.with_class(OpClass::Halo, || {
+                    if comm.rank() == 0 {
+                        comm.send(1, 1, vec![0u8; 5]);
+                    } else {
+                        let _ = comm.recv::<u8>(0, 1);
+                    }
+                });
+            });
+            comm.stats()
+        });
+        assert_eq!(stats[0].messages(OpClass::AllToAll), 0);
+        assert_eq!(stats[0].messages(OpClass::Halo), 0);
+        assert_eq!(stats[0].messages(OpClass::Shuffle), 2);
+        assert_eq!(stats[0].bytes(OpClass::Shuffle), 16 + 5);
+        assert_eq!(stats[1].bytes(OpClass::Shuffle), 16);
     }
 
     #[test]

@@ -47,9 +47,8 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::collectives::{prev_pow2, segment_at_level, AllreduceAlgorithm};
-use crate::dynamic::ScalarType;
 use crate::p2p::{Communicator, Tag};
-use crate::trace::{CollectiveKind, RankTrace, TraceOp};
+use crate::trace::{CollectiveKind, RankTrace, ScalarType, TraceOp};
 use crate::LinkModel;
 
 /// Worker-pool size: `FG_SIM_WORKERS` if set to a positive integer,

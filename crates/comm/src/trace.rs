@@ -39,8 +39,54 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::dynamic::ScalarType;
-use crate::p2p::{sub_collective_tag, world_collective_tag, Tag};
+use crate::p2p::{for_each_comm_scalar, sub_collective_tag, world_collective_tag, CommScalar, Tag};
+
+/// The closed set of wire scalar types a trace records — exactly the
+/// [`CommScalar`] impls generated by `for_each_comm_scalar!` in `p2p`.
+/// A test pins the two lists to each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarType {
+    F32,
+    F64,
+    U8,
+    U32,
+    U64,
+    I32,
+    I64,
+    Usize,
+    UsizePair,
+}
+
+impl ScalarType {
+    /// Every wire type, in declaration order.
+    pub const ALL: [ScalarType; 9] = [
+        ScalarType::F32,
+        ScalarType::F64,
+        ScalarType::U8,
+        ScalarType::U32,
+        ScalarType::U64,
+        ScalarType::I32,
+        ScalarType::I64,
+        ScalarType::Usize,
+        ScalarType::UsizePair,
+    ];
+
+    /// Wire width of one element in bytes — the same accounting as
+    /// [`CommScalar::WIDTH`], generated from the same scalar list so the
+    /// two can never diverge. The schedule verifier uses it to total the
+    /// bytes a traced plan moves.
+    pub fn width(self) -> usize {
+        macro_rules! width_arm {
+            ($t:ty, $v:ident, $c:expr, $b:expr) => {
+                if let ScalarType::$v = self {
+                    return <$t as CommScalar>::WIDTH;
+                }
+            };
+        }
+        for_each_comm_scalar!(width_arm);
+        unreachable!("for_each_comm_scalar! covers every ScalarType variant")
+    }
+}
 
 /// Which verifier check produced a [`Violation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -613,6 +659,33 @@ mod tests {
 
     fn names() -> Vec<String> {
         (0..4).map(|i| format!("l{i}")).collect()
+    }
+
+    /// `ScalarType::width` is generated from `for_each_comm_scalar!`;
+    /// a [`ScalarType`] variant without a macro entry (or the reverse)
+    /// breaks the count or membership assertions here.
+    #[test]
+    fn every_comm_scalar_has_a_scalar_type() {
+        let mut covered: Vec<ScalarType> = Vec::new();
+        macro_rules! check_one {
+            ($t:ty, $v:ident, $c:expr, $b:expr) => {
+                assert_eq!(ScalarType::$v.width(), std::mem::size_of::<$t>());
+                covered.push(ScalarType::$v);
+            };
+        }
+        for_each_comm_scalar!(check_one);
+        assert_eq!(
+            covered.len(),
+            ScalarType::ALL.len(),
+            "for_each_comm_scalar! and ScalarType::ALL list different scalar counts: \
+             extend both in lockstep (comm/src/p2p.rs and comm/src/trace.rs)"
+        );
+        for ty in ScalarType::ALL {
+            assert!(
+                covered.contains(&ty),
+                "{ty:?} is listed in ScalarType::ALL but has no for_each_comm_scalar! entry"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`LayerPlan`] per layer per rank — §III-C shuffle geometry, halo
 //! plans (forward and adjoint), §IV-A interior/boundary decompositions,
 //! and sub-communicator layouts — and the training loop is a thin
-//! scheduler over `Vec<Box<dyn DistLayer>>` executing those plans;
-//! no communication geometry is rebuilt per step.
+//! scheduler over a `Vec<DistLayer>` executing those plans, generic
+//! over the caller's communicator; no communication geometry is rebuilt
+//! per step.
 //!
 //! The layer semantics (paper §III) live in [`crate::layers`]:
 //!
@@ -30,11 +31,9 @@
 //! produces the same losses and parameters as `fg_nn::Network` on a
 //! single device (exactly, up to floating-point reduction order).
 
-use std::borrow::Cow;
-
 use std::cell::RefCell;
 
-use fg_comm::{Communicator, ErasedComm};
+use fg_comm::Communicator;
 use fg_kernels::batchnorm::BnStats;
 use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams, NetworkSpec, Sgd};
@@ -133,7 +132,7 @@ pub struct DistPass {
 /// one another, so large worlds (the paper-scale traces `repro --
 /// simscale` executes) compile rank-parallel on scoped threads; the
 /// result is identical to the serial order — `plans[layer][rank]`.
-fn compile_all_plans(layers: &[Box<dyn DistLayer>], world: usize) -> Vec<Vec<LayerPlan>> {
+fn compile_all_plans(layers: &[DistLayer], world: usize) -> Vec<Vec<LayerPlan>> {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
     if world < 64 || threads < 2 {
         return layers.iter().map(|l| (0..world).map(|r| l.compile_plan(r)).collect()).collect();
@@ -165,7 +164,7 @@ pub struct DistExecutor {
     pub strategy: Strategy,
     /// Global mini-batch size.
     pub batch: usize,
-    layers: Vec<Box<dyn DistLayer>>,
+    layers: Vec<DistLayer>,
     /// Precompiled plans, indexed `[layer][rank]`.
     plans: Vec<Vec<LayerPlan>>,
 }
@@ -287,8 +286,7 @@ impl DistExecutor {
     /// Hand the result to the `*_arena` entry points; after every step
     /// they assert `measured_peak() <= static_bound`.
     pub fn rank_arena(&self, rank: usize) -> RankArena {
-        let param_elems: Vec<usize> =
-            fg_nn::init_params(&self.spec, 0).iter().map(|p| p.len()).collect();
+        let param_elems = self.spec.param_counts();
         let plans: Vec<LayerPlan> = self.plans.iter().map(|per| per[rank].clone()).collect();
         let ivs = crate::mem::rank_intervals(
             &self.spec,
@@ -347,18 +345,6 @@ impl DistExecutor {
         self.layers[0].base().out_dist.clone().expect("layer 0 is the sharded input layer")
     }
 
-    /// This layer's plan for `rank`: borrowed from the cache, or — when
-    /// plan caching is ablated off via
-    /// [`Strategy::with_plan_caching`] — recompiled on the spot
-    /// (identical contents, measurable cost).
-    fn plan_for(&self, id: usize, rank: usize) -> Cow<'_, LayerPlan> {
-        if self.strategy.plan_cache {
-            Cow::Borrowed(&self.plans[id][rank])
-        } else {
-            Cow::Owned(self.layers[id].compile_plan(rank))
-        }
-    }
-
     /// Forward pass. `x` is the full global input replicated on every
     /// rank; for large samples prefer [`DistExecutor::forward_sharded`],
     /// which never materializes the global tensor.
@@ -372,7 +358,7 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(&ErasedComm::new(comm), params, Act::Shard(shard), labels, None, None)
+        self.run_forward(comm, params, Act::Shard(shard), labels, None, None)
     }
 
     /// Forward pass from a pre-sharded input (distributed data loading):
@@ -392,7 +378,7 @@ impl DistExecutor {
             "shard does not match the input distribution"
         );
         assert_eq!(x_shard.rank(), comm.rank(), "shard belongs to a different rank");
-        self.run_forward(&ErasedComm::new(comm), params, Act::Shard(x_shard), labels, None, None)
+        self.run_forward(comm, params, Act::Shard(x_shard), labels, None, None)
     }
 
     /// Sharded-input counterpart of [`DistExecutor::loss_and_grads`].
@@ -425,14 +411,7 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        self.run_forward(
-            &ErasedComm::new(comm),
-            params,
-            Act::Shard(shard),
-            None,
-            Some(bn_stats),
-            None,
-        )
+        self.run_forward(comm, params, Act::Shard(shard), None, Some(bn_stats), None)
     }
 
     /// Batched inference entry for serving: run
@@ -478,9 +457,9 @@ impl DistExecutor {
     /// The plan-driven forward scheduler: per layer, execute the
     /// precompiled input shuffles (or move sole-consumer activations),
     /// hand the layer its context, and file its outputs into the pass.
-    fn run_forward(
+    fn run_forward<C: Communicator>(
         &self,
-        comm: &ErasedComm<'_>,
+        comm: &C,
         params: &[LayerParams],
         input: Act,
         labels: Option<&Labels>,
@@ -503,7 +482,7 @@ impl DistExecutor {
         for id in 0..n_layers {
             let layer = &self.layers[id];
             let base = layer.base();
-            let plan = self.plan_for(id, rank);
+            let plan = &self.plans[id][rank];
 
             // Phase 1: owned inputs — §III-C shuffles, and moves out of
             // sole-consumer parents (no clone, the parent slot is spent).
@@ -533,7 +512,7 @@ impl DistExecutor {
                 .collect();
 
             let mut cx = FwdCx {
-                plan: &plan,
+                plan,
                 params: &params[id],
                 labels,
                 bn_override: bn_override.and_then(|o| o[id].as_ref()),
@@ -590,16 +569,16 @@ impl DistExecutor {
         params: &[LayerParams],
         pass: &DistPass,
     ) -> Vec<LayerParams> {
-        self.run_backward(&ErasedComm::new(comm), params, pass, None)
+        self.run_backward(comm, params, pass, None)
     }
 
     /// The plan-driven backward scheduler: loss layers seed their parent
     /// with the saved gradient; every other layer consumes its error
     /// signal, and its `dx` contributions are routed through the
     /// precompiled adjoint shuffles and accumulated into the parents.
-    fn run_backward(
+    fn run_backward<C: Communicator>(
         &self,
-        comm: &ErasedComm<'_>,
+        comm: &C,
         params: &[LayerParams],
         pass: &DistPass,
         arena: Option<&RankArena>,
@@ -622,9 +601,9 @@ impl DistExecutor {
             if base.parents.is_empty() {
                 continue;
             }
-            let plan = self.plan_for(id, rank);
+            let plan = &self.plans[id][rank];
             let cx = BwdCx {
-                plan: &plan,
+                plan,
                 params: &params[id],
                 pass,
                 bn_mode: self.strategy.bn_mode,
@@ -686,11 +665,10 @@ impl DistExecutor {
         let dist = self.input_dist();
         assert_eq!(x.shape(), dist.shape, "input does not match network/batch");
         let shard = DistTensor::from_global(dist, comm.rank(), x, [0; 4], [0; 4]);
-        let ec = ErasedComm::new(comm);
         let mut pass =
-            self.run_forward(&ec, params, Act::Shard(shard), Some(labels), None, Some(arena));
+            self.run_forward(comm, params, Act::Shard(shard), Some(labels), None, Some(arena));
         let loss = pass.loss.expect("network must end in a loss layer");
-        let grads = self.run_backward(&ec, params, &pass, Some(arena));
+        let grads = self.run_backward(comm, params, &pass, Some(arena));
         // End-of-step sweep: every kept forward window returns its
         // storage to its slot (dy windows were released inside their
         // layer's backward), then the high-water mark is checked against
@@ -785,7 +763,8 @@ fn accumulate(slot: &mut Option<Act>, g: Act) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_comm::run_ranks;
+    use fg_comm::runtime::run_ranks_with_stats;
+    use fg_comm::{run_ranks, OpClass, TraceOp};
     use fg_nn::Network;
     use fg_tensor::ProcGrid;
 
@@ -952,6 +931,44 @@ mod tests {
         }
     }
 
+    /// The recorded schedule — what the static verifier and the
+    /// discrete-event engine consume — is what live execution puts on
+    /// the wire: per rank, the live halo + shuffle traffic of one
+    /// `loss_and_grads` equals the traced sends (count, and Σ count ×
+    /// width in bytes).
+    #[test]
+    fn recorded_p2p_traffic_matches_live_traffic() {
+        let spec = mini_mesh_net();
+        let (x, labels) = seg_batch(4, 16, 16);
+        let net = Network::init(spec.clone(), 7);
+        let spatial =
+            |overlap| Strategy::uniform(&spec, ProcGrid::spatial(2, 2)).with_overlap(overlap);
+        let mut mixed = Strategy::uniform(&spec, ProcGrid::sample(4));
+        for name in ["data", "conv1_1", "bn1_1", "relu1_1"] {
+            mixed.grids[spec.find(name).unwrap()] = ProcGrid::spatial(2, 2);
+        }
+        for (label, strategy) in
+            [("spatial, overlap", spatial(true)), ("spatial", spatial(false)), ("mixed", mixed)]
+        {
+            let exec = DistExecutor::new(spec.clone(), strategy, 4).unwrap();
+            let live = run_ranks_with_stats(4, |comm| {
+                exec.loss_and_grads(comm, &net.params, &x, &labels);
+            });
+            let traces = exec.record_traces(None);
+            for (rank, (_, stats)) in live.iter().enumerate() {
+                let live_p2p = (
+                    stats.messages(OpClass::Halo) + stats.messages(OpClass::Shuffle),
+                    stats.bytes(OpClass::Halo) + stats.bytes(OpClass::Shuffle),
+                );
+                let traced = traces[rank].entries.iter().fold((0, 0), |(m, b), e| match e.op {
+                    TraceOp::Send { count, ty, .. } => (m + 1, b + (count * ty.width()) as u64),
+                    _ => (m, b),
+                });
+                assert_eq!(live_p2p, traced, "{label}, rank {rank}: live (msgs, bytes) vs traced");
+            }
+        }
+    }
+
     #[test]
     fn gradients_identical_across_ranks() {
         let spec = mini_resnet();
@@ -1054,36 +1071,6 @@ mod tests {
             let arena = exec.rank_arena(b.rank);
             assert_eq!(arena.static_bound, b.peak_bytes, "rank_arena bound matches the report");
             assert_eq!(arena.pool.borrow().arena_bytes(), b.arena_bytes);
-        }
-    }
-
-    #[test]
-    fn plan_caching_is_bitwise_identical() {
-        // Recompiling plans per invocation (the ablation baseline) must
-        // not change a single bit of losses or gradients.
-        let spec = mini_resnet();
-        let (x, labels) = cls_batch(4);
-        let net = Network::init(spec.clone(), 11);
-        let grid = ProcGrid::hybrid(2, 1, 2);
-        let cached = DistExecutor::new(
-            spec.clone(),
-            Strategy::uniform(&spec, grid).with_plan_caching(true),
-            4,
-        )
-        .unwrap();
-        let fresh = DistExecutor::new(
-            spec.clone(),
-            Strategy::uniform(&spec, grid).with_plan_caching(false),
-            4,
-        )
-        .unwrap();
-        let a = run_ranks(4, |comm| cached.loss_and_grads(comm, &net.params, &x, &labels));
-        let b = run_ranks(4, |comm| fresh.loss_and_grads(comm, &net.params, &x, &labels));
-        for ((la, ga), (lb, gb)) in a.iter().zip(&b) {
-            assert_eq!(la, lb, "plan caching changed the loss");
-            for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(x.to_flat(), y.to_flat(), "plan caching changed gradients");
-            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! device) and [`BnMode::Aggregated`] (partial moments allreduced,
 //! exactly replicating single-device training).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp};
+use fg_comm::{Collectives, Communicator, ReduceOp, ScalarType, TraceRecorder};
 use fg_kernels::batchnorm::{
     bn_backward_apply, bn_backward_partials, bn_forward_with_stats, bn_partial_moments, BnPartials,
     BnStats,
@@ -13,8 +13,7 @@ use fg_nn::{LayerParams, BN_EPS};
 use fg_tensor::DistTensor;
 
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
-use fg_comm::{ScalarType, TraceRecorder};
+use crate::layers::plan::{BwdCx, BwdOut, FwdCx, LayerBase, TraceCx};
 
 /// Batch-norm statistics scope under data decomposition (§III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,10 +127,11 @@ fn bn_params(p: &LayerParams) -> (&[f32], &[f32]) {
     }
 }
 
-/// [`DistLayer`] driver for distributed batch normalization.
+/// Distributed batch normalization as a schedulable layer
+/// (`DistLayer::BatchNorm`).
 #[derive(Debug)]
 pub struct BatchNormLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
 }
 
 impl BatchNormLayer {
@@ -139,22 +139,8 @@ impl BatchNormLayer {
     pub fn new(base: LayerBase) -> Self {
         BatchNormLayer { base }
     }
-}
 
-impl DistLayer for BatchNormLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (gamma, beta) = bn_params(cx.params);
         let (y, stats) = match cx.bn_override {
@@ -171,7 +157,7 @@ impl DistLayer for BatchNormLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward<C: Communicator>(&self, comm: &C, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         let stats = cx.bn_stats(&self.base);
@@ -184,22 +170,18 @@ impl DistLayer for BatchNormLayer {
         }
     }
 
-    fn needs_input_for_backward(&self) -> bool {
-        true
-    }
-
     // Gamma and beta are each one value per channel, so the channel
     // count is half the layer's parameter elements; the traced payloads
     // mirror `dist_bn_forward` / `dist_bn_backward` (training mode —
     // inference with overridden statistics is communication-free).
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+    pub(crate) fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let c = cx.param_elems / 2;
         if let BnMode::Aggregated = cx.bn_mode {
             rec.world_allreduce(2 * c + 1, ScalarType::F64);
         }
     }
 
-    fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+    pub(crate) fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let c = cx.param_elems / 2;
         match cx.bn_mode {
             BnMode::Aggregated => rec.world_allreduce(2 * c + 1, ScalarType::F64),

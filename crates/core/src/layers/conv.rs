@@ -1,14 +1,14 @@
-//! [`DistLayer`] driver for distributed convolution
+//! Distributed convolution as a schedulable layer
 //! ([`crate::DistConv2d`] holds the math; see `distconv.rs`).
 
-use fg_comm::ErasedComm;
+use fg_comm::Communicator;
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
 use crate::distconv::DistConv2d;
 use crate::executor::Act;
 use crate::layers::plan::{
-    window_elems, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
+    window_elems, BwdCx, BwdOut, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
 };
 use crate::overlap::{
     backward_overlapped_with_plans_in, forward_overlapped_with_plans_in, InteriorPlan,
@@ -23,10 +23,10 @@ fn conv_params(p: &LayerParams) -> (&Tensor, Option<&[f32]>) {
     }
 }
 
-/// [`DistLayer`] driver for [`DistConv2d`].
+/// [`DistConv2d`] as a schedulable layer (`DistLayer::Conv`).
 #[derive(Debug)]
 pub struct ConvLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
     conv: DistConv2d,
 }
 
@@ -35,18 +35,8 @@ impl ConvLayer {
     pub fn new(base: LayerBase, conv: DistConv2d) -> Self {
         ConvLayer { base, conv }
     }
-}
 
-impl DistLayer for ConvLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
+    pub(crate) fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.x_halo = Some(self.conv.x_halo_plan(rank));
         plan.dy_halo = Some(self.conv.dy_halo_plan(rank));
@@ -54,7 +44,7 @@ impl DistLayer for ConvLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let (w, b) = conv_params(cx.params);
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
@@ -72,7 +62,7 @@ impl DistLayer for ConvLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward<C: Communicator>(&self, comm: &C, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let (w, b) = conv_params(cx.params);
         let win = cx.window(&self.base);
@@ -107,7 +97,7 @@ impl DistLayer for ConvLayer {
         }
     }
 
-    fn memory_model(&self, rank: usize) -> LayerBufs {
+    pub(crate) fn memory_model(&self, rank: usize) -> LayerBufs {
         let (xlo, xhi) = self.conv.x_margins;
         let (dlo, dhi) = self.conv.dy_margins;
         LayerBufs {
@@ -119,12 +109,12 @@ impl DistLayer for ConvLayer {
     // Overlap mode issues the same ops in the same order (the interior
     // decomposition only reschedules compute), so one recording covers
     // both modes.
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+    pub(crate) fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let x_halo = cx.plan.x_halo.as_ref().expect("conv plan has an x halo");
         record_halo_exchange(rec, x_halo);
     }
 
-    fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+    pub(crate) fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let dy_halo = cx.plan.dy_halo.as_ref().expect("conv plan has a dy halo");
         record_halo_exchange(rec, dy_halo);
         rec.world_allreduce(cx.param_elems, ScalarType::F32);

@@ -1,16 +1,16 @@
-//! [`DistLayer`] driver for fully connected layers on per-sample
-//! replicated activations (paper §III-B): compute is purely local per
-//! sample block; gradients sum across distinct sample blocks via the
-//! precompiled cross-section group.
+//! Fully connected layers on per-sample replicated activations (paper
+//! §III-B): compute is purely local per sample block; gradients sum
+//! across distinct sample blocks via the precompiled cross-section
+//! group.
 
-use fg_comm::{Collectives, ErasedComm, ReduceOp};
+use fg_comm::{Collectives, Communicator, ReduceOp, ScalarType, TraceRecorder};
 use fg_nn::network::{fc_backward, fc_forward};
 use fg_nn::LayerParams;
 use fg_tensor::Tensor;
 
 use crate::executor::Act;
 use crate::layers::groups::cross_section_group_layout;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
+use crate::layers::plan::{BwdCx, BwdOut, FwdCx, LayerBase, LayerPlan, TraceCx};
 
 fn fc_params(p: &LayerParams) -> (&Tensor, &[f32]) {
     match p {
@@ -19,10 +19,10 @@ fn fc_params(p: &LayerParams) -> (&Tensor, &[f32]) {
     }
 }
 
-/// [`DistLayer`] driver for fully connected layers.
+/// A fully connected layer (`DistLayer::Fc`).
 #[derive(Debug)]
 pub struct FcLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
     out_features: usize,
 }
 
@@ -31,30 +31,20 @@ impl FcLayer {
     pub fn new(base: LayerBase, out_features: usize) -> Self {
         FcLayer { base, out_features }
     }
-}
 
-impl DistLayer for FcLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
+    pub(crate) fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.cross_group = Some(cross_section_group_layout(rank, self.base.grid));
         plan
     }
 
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward(&self, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).per_sample_of(self.base.id, &self.base.kind);
         let (w, b) = fc_params(cx.params);
         Act::PerSample(fc_forward(x, w, b, self.out_features))
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward<C: Communicator>(&self, comm: &C, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_per_sample_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).per_sample_of(self.base.id, &self.base.kind);
         let (w, _b) = fc_params(cx.params);
@@ -77,17 +67,8 @@ impl DistLayer for FcLayer {
         }
     }
 
-    fn needs_input_for_backward(&self) -> bool {
-        true
-    }
-
-    fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut fg_comm::TraceRecorder) {
+    pub(crate) fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let group = cx.plan.cross_group.as_ref().expect("FC plan has a cross-section group");
-        rec.sub_allreduce(
-            group.members(),
-            group.group_id(),
-            cx.param_elems,
-            fg_comm::ScalarType::F32,
-        );
+        rec.sub_allreduce(group.members(), group.group_id(), cx.param_elems, ScalarType::F32);
     }
 }

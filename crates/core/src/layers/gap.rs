@@ -3,12 +3,12 @@
 //! *per-sample replicated* activation (the representation FC layers and
 //! classification losses consume).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp, SubCommLayout};
+use fg_comm::{Collectives, Communicator, ReduceOp, ScalarType, SubCommLayout, TraceRecorder};
 use fg_tensor::{DistTensor, Shape4, Tensor};
 
 use crate::executor::Act;
 use crate::layers::groups::spatial_group_layout;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
+use crate::layers::plan::{BwdCx, BwdOut, FwdCx, LayerBase, LayerPlan, TraceCx};
 
 /// Distributed global average pooling: shard → per-sample replicated
 /// `(n_loc, C, 1, 1)` tensor (identical on all ranks of a sample group).
@@ -67,10 +67,10 @@ pub fn dist_global_avg_pool_backward(x: &DistTensor, dy: &Tensor) -> DistTensor 
     dx
 }
 
-/// [`DistLayer`] driver for global average pooling.
+/// Global average pooling as a schedulable layer (`DistLayer::Gap`).
 #[derive(Debug)]
 pub struct GapLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
 }
 
 impl GapLayer {
@@ -78,30 +78,20 @@ impl GapLayer {
     pub fn new(base: LayerBase) -> Self {
         GapLayer { base }
     }
-}
 
-impl DistLayer for GapLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
+    pub(crate) fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.spatial_group = Some(spatial_group_layout(rank, self.base.grid));
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let group = cx.plan.spatial_group.as_ref().expect("GAP plan has a spatial group");
         Act::PerSample(dist_global_avg_pool_with_group(comm, x, group))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward(&self, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_per_sample_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         let dx = dist_global_avg_pool_backward(x, &dy);
@@ -109,17 +99,13 @@ impl DistLayer for GapLayer {
         BwdOut { dparents: vec![(0, Act::Shard(dx))], grads: None }
     }
 
-    fn needs_input_for_backward(&self) -> bool {
-        true
-    }
-
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut fg_comm::TraceRecorder) {
+    pub(crate) fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let group = cx.plan.spatial_group.as_ref().expect("GAP plan has a spatial group");
         let in_dist = self.base.in_dist.as_ref().expect("GAP consumes a sharded input");
         let own = in_dist.local_box(cx.rank);
         let n_loc = own.hi[0] - own.lo[0];
         let count = n_loc * in_dist.shape.c;
-        rec.sub_allreduce(group.members(), group.group_id(), count, fg_comm::ScalarType::F32);
+        rec.sub_allreduce(group.members(), group.group_id(), count, ScalarType::F32);
     }
 }
 

@@ -1,15 +1,13 @@
 //! The input layer: intake of the externally supplied activation.
 
-use fg_comm::ErasedComm;
-
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan};
+use crate::layers::plan::{FwdCx, LayerBase};
 
-/// [`DistLayer`] for the network's input: forwards the externally
-/// supplied activation, contributes nothing in backward.
+/// The network's input: forwards the externally supplied activation,
+/// contributes nothing in backward.
 #[derive(Debug)]
 pub struct InputLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
 }
 
 impl InputLayer {
@@ -17,28 +15,10 @@ impl InputLayer {
     pub fn new(base: LayerBase) -> Self {
         InputLayer { base }
     }
-}
 
-impl DistLayer for InputLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward(&self, cx: &mut FwdCx<'_>) -> Act {
         cx.external.take().unwrap_or_else(|| {
             panic!("layer {} ({:?}): no external activation supplied", self.base.id, self.base.kind)
         })
-    }
-
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
-        BwdOut::none()
     }
 }

@@ -2,13 +2,13 @@
 //! shards (semantic segmentation) or per-sample over replicated
 //! activations (classification).
 
-use fg_comm::{Collectives, Communicator, ErasedComm, ReduceOp, SubCommLayout};
+use fg_comm::{Collectives, Communicator, ReduceOp, ScalarType, SubCommLayout, TraceRecorder};
 use fg_kernels::loss::{softmax_cross_entropy, Labels};
 use fg_tensor::{DistTensor, ProcGrid, Tensor};
 
 use crate::executor::Act;
 use crate::layers::groups::cross_section_group_layout;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan, TraceCx};
+use crate::layers::plan::{FwdCx, LayerBase, LayerPlan, TraceCx};
 
 /// Distributed per-position softmax cross-entropy on a shard
 /// (semantic segmentation). Returns `(global mean loss, local dlogits)`.
@@ -85,11 +85,14 @@ pub fn dist_softmax_xent_per_sample_with_group<C: Communicator>(
     (sums[0] / global_n, grad)
 }
 
-/// [`DistLayer`] driver for softmax cross-entropy, in either the sharded
-/// (per-position) or per-sample (classification) representation.
+/// Softmax cross-entropy as a schedulable layer
+/// (`DistLayer::SoftmaxLoss`), in either the sharded (per-position) or
+/// per-sample (classification) representation. Loss
+/// layers seed backward: the scheduler routes the gradient saved in
+/// forward to the parent instead of running a backward step here.
 #[derive(Debug)]
 pub struct SoftmaxLossLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
     per_sample: bool,
     batch: usize,
 }
@@ -99,18 +102,8 @@ impl SoftmaxLossLayer {
     pub fn new(base: LayerBase, per_sample: bool, batch: usize) -> Self {
         SoftmaxLossLayer { base, per_sample, batch }
     }
-}
 
-impl DistLayer for SoftmaxLossLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
+    pub(crate) fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         if self.per_sample {
             plan.cross_group = Some(cross_section_group_layout(rank, self.base.grid));
@@ -121,7 +114,7 @@ impl DistLayer for SoftmaxLossLayer {
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
         // The loss layer's "output" is its input logits, passed through;
         // take them (moving when this layer is the sole consumer) so the
         // pass never holds two copies.
@@ -148,21 +141,13 @@ impl DistLayer for SoftmaxLossLayer {
         logits
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, _dy: Act) -> BwdOut {
-        unreachable!("loss layers seed backward; the scheduler never calls backward on them")
-    }
-
-    fn seeds_backward(&self) -> bool {
-        true
-    }
-
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut fg_comm::TraceRecorder) {
+    pub(crate) fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         if self.per_sample {
             let group =
                 cx.plan.cross_group.as_ref().expect("per-sample loss plan has a cross group");
-            rec.sub_allreduce(group.members(), group.group_id(), 2, fg_comm::ScalarType::F64);
+            rec.sub_allreduce(group.members(), group.group_id(), 2, ScalarType::F64);
         } else {
-            rec.world_allreduce(1, fg_comm::ScalarType::F64);
+            rec.world_allreduce(1, ScalarType::F64);
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Distributed layer implementations (paper §III) behind the
-//! plan-once/execute-many [`DistLayer`] interface.
+//! plan-once/execute-many [`DistLayer`] enum.
 //!
 //! Each submodule holds one layer family: its distributed math (free
-//! functions and layer structs, exactly as before the refactor) plus its
-//! [`DistLayer`] impl, which the executor drives uniformly:
+//! functions and layer structs) plus the layer struct that one
+//! [`DistLayer`] variant wraps; the enum dispatches to it with one
+//! `match` per operation:
 //!
-//! * [`plan`] — the [`LayerPlan`]/[`DistLayer`] interface itself;
+//! * [`plan`] — [`LayerPlan`], the [`DistLayer`] enum, and the step
+//!   contexts;
 //! * [`conv`] — distributed convolution ([`crate::DistConv2d`] driver);
 //! * [`pool`] — distributed pooling ([`DistPool2d`]);
 //! * [`batchnorm`] — batch normalization ([`BnMode`], `dist_bn_*`);
@@ -55,17 +57,17 @@ use fg_tensor::{Shape4, TensorDist};
 use crate::distconv::DistConv2d;
 use crate::strategy::Strategy;
 
-/// Build the per-layer [`DistLayer`] objects for a validated
-/// spec/strategy pair. Called once by `DistExecutor::new`; the executor
-/// then schedules these uniformly and never matches on layer kinds.
+/// Build the per-layer [`DistLayer`]s for a validated spec/strategy
+/// pair. Called once by `DistExecutor::new`; the executor then
+/// schedules these uniformly and never matches on layer kinds.
 pub(crate) fn build_layers(
     spec: &NetworkSpec,
     strategy: &Strategy,
     batch: usize,
-) -> Vec<Box<dyn DistLayer>> {
+) -> Vec<DistLayer> {
     let shapes: Vec<Shape4> =
         spec.shapes().iter().map(|&(c, h, w)| Shape4::new(batch, c, h, w)).collect();
-    let mut layers: Vec<Box<dyn DistLayer>> = Vec::with_capacity(spec.len());
+    let mut layers: Vec<DistLayer> = Vec::with_capacity(spec.len());
     let mut out_dists: Vec<Option<TensorDist>> = Vec::with_capacity(spec.len());
     for (id, l) in spec.layers().iter().enumerate() {
         let grid = strategy.grids[id];
@@ -85,8 +87,8 @@ pub(crate) fn build_layers(
             take_parent: vec![false; l.parents.len()],
         };
         let sharded = strategy.dist_for(shapes[id], grid);
-        let layer: Box<dyn DistLayer> = match &l.kind {
-            LayerKind::Input { .. } => Box::new(InputLayer::new(base(None, Some(sharded.clone())))),
+        let layer = match &l.kind {
+            LayerKind::Input { .. } => DistLayer::Input(InputLayer::new(base(None, Some(sharded)))),
             LayerKind::Conv { kernel, stride, pad, .. } => {
                 let p = shapes[l.parents[0]];
                 let geom = ConvGeometry::square(p.h, p.w, *kernel, *stride, *pad);
@@ -96,7 +98,7 @@ pub(crate) fn build_layers(
                     sharded.clone(),
                 );
                 let b = base(Some(conv.in_dist.clone()), Some(conv.out_dist.clone()));
-                Box::new(ConvLayer::new(b, conv))
+                DistLayer::Conv(ConvLayer::new(b, conv))
             }
             LayerKind::Pool { kind, kernel, stride, pad } => {
                 let p = shapes[l.parents[0]];
@@ -108,24 +110,24 @@ pub(crate) fn build_layers(
                     sharded.clone(),
                 );
                 let b = base(Some(pool.in_dist.clone()), Some(pool.out_dist.clone()));
-                Box::new(PoolLayer::new(b, pool))
+                DistLayer::Pool(PoolLayer::new(b, pool))
             }
-            LayerKind::BatchNorm => Box::new(batchnorm::BatchNormLayer::new(base(
+            LayerKind::BatchNorm => DistLayer::BatchNorm(BatchNormLayer::new(base(
                 Some(sharded.clone()),
-                Some(sharded.clone()),
+                Some(sharded),
             ))),
             LayerKind::Relu => {
-                Box::new(ReluLayer::new(base(Some(sharded.clone()), Some(sharded.clone()))))
+                DistLayer::Relu(ReluLayer::new(base(Some(sharded.clone()), Some(sharded))))
             }
             LayerKind::Add => {
-                Box::new(AddLayer::new(base(Some(sharded.clone()), Some(sharded.clone()))))
+                DistLayer::Add(AddLayer::new(base(Some(sharded.clone()), Some(sharded))))
             }
             LayerKind::GlobalAvgPool => {
                 let in_dist = strategy.dist_for(shapes[l.parents[0]], grid);
-                Box::new(GapLayer::new(base(Some(in_dist), None)))
+                DistLayer::Gap(GapLayer::new(base(Some(in_dist), None)))
             }
             LayerKind::Fc { out_features } => {
-                Box::new(FcLayer::new(base(None, None), *out_features))
+                DistLayer::Fc(FcLayer::new(base(None, None), *out_features))
             }
             LayerKind::SoftmaxCrossEntropy => {
                 // Per-sample only when the parent actually produces the
@@ -137,9 +139,9 @@ pub(crate) fn build_layers(
                 let b = if per_sample {
                     base(None, None)
                 } else {
-                    base(Some(sharded.clone()), Some(sharded.clone()))
+                    base(Some(sharded.clone()), Some(sharded))
                 };
-                Box::new(SoftmaxLossLayer::new(b, per_sample, batch))
+                DistLayer::SoftmaxLoss(SoftmaxLossLayer::new(b, per_sample, batch))
             }
         };
         out_dists.push(layer.base().out_dist.clone());

@@ -8,15 +8,16 @@
 //! for overlap mode, and sub-communicator layouts — and the training
 //! loop executes the plans without rebuilding any geometry.
 //!
-//! [`DistLayer`] is the uniform interface the executor schedules:
-//! `compile_plan` runs once at construction, `forward`/`backward` run
-//! every step against an [`FwdCx`]/[`BwdCx`] holding the plan, the
-//! layer's parameters, and its (possibly redistributed) inputs.
+//! [`DistLayer`] is the closed enum of layer kinds the executor
+//! schedules, generic over the caller's communicator: `compile_plan`
+//! runs once at construction, `forward`/`backward` run every step
+//! against an [`FwdCx`]/[`BwdCx`] holding the plan, the layer's
+//! parameters, and its (possibly redistributed) inputs.
 
 use std::cell::RefCell;
 use std::ops::Range;
 
-use fg_comm::{ErasedComm, SubCommLayout, TraceRecorder};
+use fg_comm::{Communicator, SubCommLayout, TraceRecorder};
 use fg_kernels::batchnorm::BnStats;
 use fg_kernels::loss::Labels;
 use fg_nn::{LayerKind, LayerParams};
@@ -25,7 +26,10 @@ use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{DistTensor, ProcGrid, StepArena, TensorDist, NDIMS};
 
 use crate::executor::{Act, DistPass};
-use crate::layers::BnMode;
+use crate::layers::{
+    AddLayer, BatchNormLayer, BnMode, ConvLayer, FcLayer, GapLayer, InputLayer, PoolLayer,
+    ReluLayer, SoftmaxLossLayer,
+};
 use crate::overlap::InteriorPlan;
 
 /// One rank's precompiled communication/compute geometry for one layer.
@@ -156,67 +160,160 @@ impl ArenaSlot<'_> {
     }
 }
 
-/// A uniformly schedulable distributed layer. Object-safe: the executor
-/// holds `Vec<Box<dyn DistLayer>>` and drives plans through
-/// [`ErasedComm`], never matching on layer kinds itself.
-pub trait DistLayer: std::fmt::Debug + Send + Sync {
+/// A distributed layer: one variant per layer kind, each wrapping the
+/// kind's layer struct. The set is closed (the kinds `build_layers`
+/// constructs), so every operation is one `match` here and the
+/// executor's scheduler stays generic over the caller's
+/// [`Communicator`] end to end.
+#[derive(Debug)]
+pub enum DistLayer {
+    Input(InputLayer),
+    Conv(ConvLayer),
+    Pool(PoolLayer),
+    BatchNorm(BatchNormLayer),
+    Relu(ReluLayer),
+    Add(AddLayer),
+    Gap(GapLayer),
+    Fc(FcLayer),
+    SoftmaxLoss(SoftmaxLossLayer),
+}
+
+impl DistLayer {
     /// The layer's spec/strategy-derived identity.
-    fn base(&self) -> &LayerBase;
+    pub fn base(&self) -> &LayerBase {
+        match self {
+            DistLayer::Input(l) => &l.base,
+            DistLayer::Conv(l) => &l.base,
+            DistLayer::Pool(l) => &l.base,
+            DistLayer::BatchNorm(l) => &l.base,
+            DistLayer::Relu(l) => &l.base,
+            DistLayer::Add(l) => &l.base,
+            DistLayer::Gap(l) => &l.base,
+            DistLayer::Fc(l) => &l.base,
+            DistLayer::SoftmaxLoss(l) => &l.base,
+        }
+    }
 
     /// Mutable access for the executor's post-construction move
     /// analysis (fills [`LayerBase::take_parent`]).
-    fn base_mut(&mut self) -> &mut LayerBase;
+    pub fn base_mut(&mut self) -> &mut LayerBase {
+        match self {
+            DistLayer::Input(l) => &mut l.base,
+            DistLayer::Conv(l) => &mut l.base,
+            DistLayer::Pool(l) => &mut l.base,
+            DistLayer::BatchNorm(l) => &mut l.base,
+            DistLayer::Relu(l) => &mut l.base,
+            DistLayer::Add(l) => &mut l.base,
+            DistLayer::Gap(l) => &mut l.base,
+            DistLayer::Fc(l) => &mut l.base,
+            DistLayer::SoftmaxLoss(l) => &mut l.base,
+        }
+    }
 
     /// Compile this rank's plan — pure geometry, no communication.
-    /// Called once per rank in `DistExecutor::new` (or per invocation
-    /// when plan caching is ablated off).
-    fn compile_plan(&self, rank: usize) -> LayerPlan;
+    /// Called once per rank in `DistExecutor::new`.
+    pub fn compile_plan(&self, rank: usize) -> LayerPlan {
+        match self {
+            DistLayer::Conv(l) => l.compile_plan(rank),
+            DistLayer::Pool(l) => l.compile_plan(rank),
+            DistLayer::Gap(l) => l.compile_plan(rank),
+            DistLayer::Fc(l) => l.compile_plan(rank),
+            DistLayer::SoftmaxLoss(l) => l.compile_plan(rank),
+            _ => self.base().compile_io(rank),
+        }
+    }
 
     /// Execute the planned forward step; returns the output activation.
     /// Side outputs (kept windows, BN statistics, losses) go into `cx`.
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act;
+    pub fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
+        match self {
+            DistLayer::Input(l) => l.forward(cx),
+            DistLayer::Conv(l) => l.forward(comm, cx),
+            DistLayer::Pool(l) => l.forward(comm, cx),
+            DistLayer::BatchNorm(l) => l.forward(comm, cx),
+            DistLayer::Relu(l) => l.forward(cx),
+            DistLayer::Add(l) => l.forward(cx),
+            DistLayer::Gap(l) => l.forward(comm, cx),
+            DistLayer::Fc(l) => l.forward(cx),
+            DistLayer::SoftmaxLoss(l) => l.forward(comm, cx),
+        }
+    }
 
     /// Execute the planned backward step for error signal `dy`;
     /// `dx` contributions come back in this layer's input distribution
-    /// (the scheduler applies the adjoint shuffles).
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut;
+    /// (the scheduler applies the adjoint shuffles). Never called on
+    /// the input layer (no parents) or on loss layers (they seed
+    /// backward instead).
+    pub fn backward<C: Communicator>(&self, comm: &C, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+        match self {
+            DistLayer::Conv(l) => l.backward(comm, cx, dy),
+            DistLayer::Pool(l) => l.backward(comm, cx, dy),
+            DistLayer::BatchNorm(l) => l.backward(comm, cx, dy),
+            DistLayer::Relu(l) => l.backward(cx, dy),
+            DistLayer::Add(l) => l.backward(dy),
+            DistLayer::Gap(l) => l.backward(cx, dy),
+            DistLayer::Fc(l) => l.backward(comm, cx, dy),
+            DistLayer::Input(_) | DistLayer::SoftmaxLoss(_) => {
+                unreachable!("the scheduler never runs backward on input or loss layers")
+            }
+        }
+    }
 
     /// Does this layer originate the backward pass (loss layers)? The
     /// scheduler seeds its parent with the saved loss gradient instead
     /// of calling [`DistLayer::backward`].
-    fn seeds_backward(&self) -> bool {
-        false
+    pub fn seeds_backward(&self) -> bool {
+        matches!(self, DistLayer::SoftmaxLoss(_))
     }
 
     /// Does [`DistLayer::backward`] read this layer's forward input
     /// (via [`BwdCx::input`])? Gates both input saving and the
     /// move-instead-of-clone analysis.
-    fn needs_input_for_backward(&self) -> bool {
-        false
+    pub fn needs_input_for_backward(&self) -> bool {
+        matches!(
+            self,
+            DistLayer::BatchNorm(_) | DistLayer::Relu(_) | DistLayer::Gap(_) | DistLayer::Fc(_)
+        )
     }
 
     /// Record the wire ops [`DistLayer::forward`] would issue into a
     /// symbolic trace — same exchanges, same order, same payload sizes,
-    /// no tensor math. The default records nothing (compute-only layer).
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
-        let _ = (cx, rec);
+    /// no tensor math. Compute-only layers record nothing.
+    pub fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+        match self {
+            DistLayer::Conv(l) => l.record_forward(cx, rec),
+            DistLayer::Pool(l) => l.record_forward(cx, rec),
+            DistLayer::BatchNorm(l) => l.record_forward(cx, rec),
+            DistLayer::Gap(l) => l.record_forward(cx, rec),
+            DistLayer::SoftmaxLoss(l) => l.record_forward(cx, rec),
+            _ => {}
+        }
     }
 
     /// Record the wire ops [`DistLayer::backward`] would issue.
-    fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
-        let _ = (cx, rec);
+    pub fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
+        match self {
+            DistLayer::Conv(l) => l.record_backward(cx, rec),
+            DistLayer::Pool(l) => l.record_backward(cx, rec),
+            DistLayer::BatchNorm(l) => l.record_backward(cx, rec),
+            DistLayer::Fc(l) => l.record_backward(cx, rec),
+            _ => {}
+        }
     }
 
     /// Step-transient buffers this layer keeps on `rank` — the sizing
     /// contract between the static memory analyzer (which turns these
     /// into [`LiveInterval`]s and arena slots) and the runtime (which
-    /// checks out exactly these counts). The default reports none
-    /// (layers that keep no windows).
+    /// checks out exactly these counts). Layers that keep no windows
+    /// report none.
     ///
     /// [`LiveInterval`]: fg_tensor::LiveInterval
-    fn memory_model(&self, rank: usize) -> LayerBufs {
-        let _ = rank;
-        LayerBufs::default()
+    pub fn memory_model(&self, rank: usize) -> LayerBufs {
+        match self {
+            DistLayer::Conv(l) => l.memory_model(rank),
+            DistLayer::Pool(l) => l.memory_model(rank),
+            _ => LayerBufs::default(),
+        }
     }
 }
 
@@ -372,11 +469,4 @@ pub struct BwdOut {
     /// Parameter gradients, already globally reduced (identical on all
     /// ranks), if the layer has parameters.
     pub grads: Option<LayerParams>,
-}
-
-impl BwdOut {
-    /// No contributions (input layer).
-    pub fn none() -> BwdOut {
-        BwdOut { dparents: Vec::new(), grads: None }
-    }
 }

@@ -1,11 +1,10 @@
 //! Distributed ReLU and residual add (paper §III-B): elementwise,
 //! "parallelize trivially regardless of distribution".
 
-use fg_comm::ErasedComm;
 use fg_tensor::DistTensor;
 
 use crate::executor::Act;
-use crate::layers::plan::{BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerPlan};
+use crate::layers::plan::{BwdCx, BwdOut, FwdCx, LayerBase};
 
 /// Distributed ReLU: elementwise on the owned region.
 pub fn dist_relu_forward(x: &DistTensor) -> DistTensor {
@@ -35,10 +34,10 @@ pub fn dist_add(parts: &[&DistTensor]) -> DistTensor {
     y
 }
 
-/// [`DistLayer`] driver for distributed ReLU.
+/// Distributed ReLU as a schedulable layer (`DistLayer::Relu`).
 #[derive(Debug)]
 pub struct ReluLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
 }
 
 impl ReluLayer {
@@ -46,42 +45,24 @@ impl ReluLayer {
     pub fn new(base: LayerBase) -> Self {
         ReluLayer { base }
     }
-}
 
-impl DistLayer for ReluLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward(&self, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         Act::Shard(dist_relu_forward(x))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward(&self, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let x = cx.input(&self.base, 0).shard_of(self.base.id, &self.base.kind);
         // arena-exempt: one-element edge list; the shard is the kernel's output.
         BwdOut { dparents: vec![(0, Act::Shard(dist_relu_backward(x, &dy)))], grads: None }
     }
-
-    fn needs_input_for_backward(&self) -> bool {
-        true
-    }
 }
 
-/// [`DistLayer`] driver for the residual join.
+/// The residual join as a schedulable layer (`DistLayer::Add`).
 #[derive(Debug)]
 pub struct AddLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
 }
 
 impl AddLayer {
@@ -89,29 +70,15 @@ impl AddLayer {
     pub fn new(base: LayerBase) -> Self {
         AddLayer { base }
     }
-}
 
-impl DistLayer for AddLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
-        self.base.compile_io(rank)
-    }
-
-    fn forward(&self, _comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward(&self, cx: &mut FwdCx<'_>) -> Act {
         let shards: Vec<&DistTensor> = (0..self.base.parents.len())
             .map(|i| cx.input(i).shard_of(self.base.id, &self.base.kind))
             .collect();
         Act::Shard(dist_add(&shards))
     }
 
-    fn backward(&self, _comm: &ErasedComm<'_>, _cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward(&self, dy: Act) -> BwdOut {
         // The error signal passes through unchanged to every parent;
         // clone for all but the last edge, move into the last.
         let n = self.base.parents.len();

@@ -1,7 +1,7 @@
 //! Distributed 2-D pooling (paper §III-B): partitioned like convolution,
 //! with halo exchanges sized from the pooling window.
 
-use fg_comm::{Communicator, ErasedComm};
+use fg_comm::{Communicator, TraceRecorder};
 use fg_kernels::conv::ConvGeometry;
 use fg_kernels::pool::{pool2d_backward_region, pool2d_forward_region, PoolKind};
 use fg_tensor::halo::{exchange_halo_with_plan, HaloPlan};
@@ -9,7 +9,7 @@ use fg_tensor::{DistTensor, ProcGrid, Shape4, TensorDist, NDIMS};
 
 use crate::executor::Act;
 use crate::layers::plan::{
-    window_elems, BwdCx, BwdOut, DistLayer, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
+    window_elems, BwdCx, BwdOut, FwdCx, LayerBase, LayerBufs, LayerPlan, TraceCx,
 };
 
 /// A distributed 2-D pooling layer.
@@ -230,10 +230,10 @@ fn margin_max(
     ((x_lo.max(0) as usize, x_hi.max(0) as usize), (d_lo.max(0) as usize, d_hi.max(0) as usize))
 }
 
-/// [`DistLayer`] driver for [`DistPool2d`].
+/// [`DistPool2d`] as a schedulable layer (`DistLayer::Pool`).
 #[derive(Debug)]
 pub struct PoolLayer {
-    base: LayerBase,
+    pub(crate) base: LayerBase,
     pool: DistPool2d,
 }
 
@@ -242,25 +242,15 @@ impl PoolLayer {
     pub fn new(base: LayerBase, pool: DistPool2d) -> Self {
         PoolLayer { base, pool }
     }
-}
 
-impl DistLayer for PoolLayer {
-    fn base(&self) -> &LayerBase {
-        &self.base
-    }
-
-    fn base_mut(&mut self) -> &mut LayerBase {
-        &mut self.base
-    }
-
-    fn compile_plan(&self, rank: usize) -> LayerPlan {
+    pub(crate) fn compile_plan(&self, rank: usize) -> LayerPlan {
         let mut plan = self.base.compile_io(rank);
         plan.x_halo = Some(self.pool.x_halo_plan(rank));
         plan.dy_halo = Some(self.pool.dy_halo_plan(rank));
         plan
     }
 
-    fn forward(&self, comm: &ErasedComm<'_>, cx: &mut FwdCx<'_>) -> Act {
+    pub(crate) fn forward<C: Communicator>(&self, comm: &C, cx: &mut FwdCx<'_>) -> Act {
         let x = cx.input(0).shard_of(self.base.id, &self.base.kind);
         let x_halo = cx.plan.x_halo.as_ref().expect("pool plan has an x halo");
         let store =
@@ -270,7 +260,7 @@ impl DistLayer for PoolLayer {
         Act::Shard(y)
     }
 
-    fn backward(&self, comm: &ErasedComm<'_>, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
+    pub(crate) fn backward<C: Communicator>(&self, comm: &C, cx: &BwdCx<'_>, dy: Act) -> BwdOut {
         let dy = dy.into_shard_of(self.base.id, &self.base.kind);
         let win = cx.window(&self.base);
         let dy_halo = cx.plan.dy_halo.as_ref().expect("pool plan has a dy halo");
@@ -284,17 +274,17 @@ impl DistLayer for PoolLayer {
         BwdOut { dparents: vec![(0, Act::Shard(dx))], grads: None }
     }
 
-    fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut fg_comm::TraceRecorder) {
+    pub(crate) fn record_forward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let x_halo = cx.plan.x_halo.as_ref().expect("pool plan has an x halo");
         fg_tensor::halo::record_halo_exchange(rec, x_halo);
     }
 
-    fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut fg_comm::TraceRecorder) {
+    pub(crate) fn record_backward(&self, cx: &TraceCx<'_>, rec: &mut TraceRecorder) {
         let dy_halo = cx.plan.dy_halo.as_ref().expect("pool plan has a dy halo");
         fg_tensor::halo::record_halo_exchange(rec, dy_halo);
     }
 
-    fn memory_model(&self, rank: usize) -> LayerBufs {
+    pub(crate) fn memory_model(&self, rank: usize) -> LayerBufs {
         let (xlo, xhi) = self.pool.x_margins();
         let (dlo, dhi) = self.pool.dy_margins();
         LayerBufs {

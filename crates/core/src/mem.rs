@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use fg_comm::collectives::block_range;
-use fg_nn::{init_params, LayerKind, NetworkSpec};
+use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::{
     check_mem_plan, peak_bytes, BufClass, LiveInterval, MemPlan, MemPlanIssue, StepArena, ELT_BYTES,
 };
@@ -211,7 +211,7 @@ fn replay_budget_bytes() -> usize {
 /// its sharded distribution, or the `(n_loc, C, H, W)` per-sample
 /// replicated block after global average pooling.
 fn act_bytes(
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     shapes: &[(usize, usize, usize)],
     batch: usize,
     rank: usize,
@@ -235,7 +235,7 @@ fn act_bytes(
 /// layer.
 pub(crate) fn rank_intervals(
     spec: &NetworkSpec,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[LayerPlan],
     param_elems: &[usize],
     batch: usize,
@@ -357,12 +357,7 @@ pub(crate) fn rank_intervals(
 }
 
 /// Map one rank's [`MemPlanIssue`]s to named violations.
-fn plan_violations(
-    rank: usize,
-    layers: &[Box<dyn DistLayer>],
-    plan: &MemPlan,
-    out: &mut Vec<MemViolation>,
-) {
+fn plan_violations(rank: usize, layers: &[DistLayer], plan: &MemPlan, out: &mut Vec<MemViolation>) {
     let name = |id: usize| {
         layers.get(id).map(|l| l.base().name.clone()).unwrap_or_else(|| "<unknown>".into())
     };
@@ -401,7 +396,7 @@ fn plan_violations(
 /// catches understatement.)
 fn staging_violations(
     rank: usize,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     ivs: &[LiveInterval],
     fresh: &[LiveInterval],
     out: &mut Vec<MemViolation>,
@@ -440,7 +435,7 @@ fn staging_violations(
 /// what all ranks expect to receive. Requires the complete plan set
 /// (`plans[layer][rank]` for every rank).
 pub(crate) fn check_conservation(
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[Vec<LayerPlan>],
     out: &mut Vec<MemViolation>,
 ) {
@@ -502,7 +497,7 @@ pub(crate) fn check_conservation(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_ranks(
     spec: &NetworkSpec,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     rank_plans: &dyn Fn(usize) -> Vec<LayerPlan>,
     full_plans: Option<&[Vec<LayerPlan>]>,
     batch: usize,
@@ -511,7 +506,7 @@ pub(crate) fn analyze_ranks(
     mutate_plan: &dyn Fn(usize, &mut MemPlan),
 ) -> MemReport {
     let start = Instant::now();
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    let param_elems = spec.param_counts();
     let mut bounds = Vec::with_capacity(ranks.len());
     let mut violations = Vec::new();
     for &rank in ranks {

@@ -67,6 +67,7 @@ impl ServableModel {
         momentum: f32,
     ) -> Result<ServableModel, CheckpointError> {
         let state = fg_nn::load_train_state(r)?;
+        check_fits(spec, &state.params)?;
         Ok(ServableModel::from_train_state(spec, &state, calibration, momentum))
     }
 
@@ -85,6 +86,7 @@ impl ServableModel {
         momentum: f32,
     ) -> Result<ServableModel, CheckpointError> {
         let loaded = store.load_latest()?;
+        check_fits(spec, &loaded.state.params)?;
         Ok(ServableModel::from_train_state(spec, &loaded.state, calibration, momentum))
     }
 
@@ -98,6 +100,28 @@ impl ServableModel {
     }
 }
 
+/// Reject a loaded parameter set that does not fit `spec` — a typed
+/// [`CheckpointError::SpecMismatch`] at boot instead of a kernel panic
+/// on the first request. Lengths come from the spec's shapes alone.
+fn check_fits(spec: &NetworkSpec, params: &[fg_nn::LayerParams]) -> Result<(), CheckpointError> {
+    let expected = spec.param_counts();
+    if expected.len() != params.len() {
+        return Err(CheckpointError::SpecMismatch {
+            layer: None,
+            expected: expected.len(),
+            found: params.len(),
+        });
+    }
+    match expected.iter().zip(params).position(|(&e, p)| e != p.len()) {
+        Some(l) => Err(CheckpointError::SpecMismatch {
+            layer: Some(l),
+            expected: expected[l],
+            found: params[l].len(),
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,9 +129,13 @@ mod tests {
     use fg_tensor::{Shape4, Tensor};
 
     fn bn_spec() -> NetworkSpec {
+        bn_spec_with_filters(4)
+    }
+
+    fn bn_spec_with_filters(filters: usize) -> NetworkSpec {
         let mut spec = NetworkSpec::new();
         let i = spec.input("x", 2, 8, 8);
-        let c1 = spec.conv("c1", i, 4, 3, 1, 1);
+        let c1 = spec.conv("c1", i, filters, 3, 1, 1);
         let b1 = spec.batchnorm("b1", c1);
         let r1 = spec.relu("r1", b1);
         let g = spec.global_avg_pool("g", r1);
@@ -160,6 +188,35 @@ mod tests {
         assert_eq!(loaded.step, tuned.step);
         let x = calib(1, 99);
         assert_eq!(loaded.infer(&x), tuned.infer(&x), "bitwise-equal inference after reload");
+    }
+
+    #[test]
+    fn checkpoint_that_does_not_fit_the_spec_is_a_typed_error() {
+        let mut bytes = Vec::new();
+        fg_nn::save_train_state(&mut bytes, &state_for(&bn_spec(), 3)).unwrap();
+        let cal = [calib(2, 0)];
+
+        // Same layer count, wider conv: the conv layer (1) is named.
+        let wider = bn_spec_with_filters(6);
+        let err = ServableModel::from_checkpoint(&wider, &mut bytes.as_slice(), &cal, 0.1)
+            .expect_err("a 4-filter checkpoint must not boot against a 6-filter spec");
+        assert!(
+            matches!(
+                err,
+                CheckpointError::SpecMismatch { layer: Some(1), expected: 108, found: 72 }
+            ),
+            "{err}"
+        );
+
+        // An extra layer: the layer counts differ.
+        let mut longer = bn_spec();
+        longer.relu("extra", 0);
+        let err = ServableModel::from_checkpoint(&longer, &mut bytes.as_slice(), &cal, 0.1)
+            .expect_err("a 7-layer checkpoint must not boot against an 8-layer spec");
+        assert!(
+            matches!(err, CheckpointError::SpecMismatch { layer: None, expected: 8, found: 7 }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub struct Strategy {
     /// default, as in the paper's measurements; results are bitwise
     /// identical either way.
     pub overlap_halo: bool,
-    /// Reuse the per-layer communication plans compiled once in
-    /// `DistExecutor::new` (plan-once/execute-many, the structure of the
-    /// paper's implementation). Off recompiles every plan on every
-    /// invocation — identical results, pure overhead — and exists for
-    /// the `fg-bench` plan-caching ablation.
-    pub plan_cache: bool,
     /// Per-rank relative speed weights for weighted re-decomposition
     /// (gray-failure mitigation / heterogeneity-aware placement). `None`
     /// or all-equal means the usual uniform blocked partition; otherwise
@@ -143,7 +137,6 @@ impl Strategy {
             grids: vec![grid; spec.len()],
             bn_mode: BnMode::default(),
             overlap_halo: true,
-            plan_cache: true,
             rank_weights: None,
         }
     }
@@ -189,12 +182,6 @@ impl Strategy {
     /// Enable or disable interior/boundary halo overlapping.
     pub fn with_overlap(mut self, overlap: bool) -> Strategy {
         self.overlap_halo = overlap;
-        self
-    }
-
-    /// Enable or disable reuse of the precompiled per-layer plans.
-    pub fn with_plan_caching(mut self, cache: bool) -> Strategy {
-        self.plan_cache = cache;
         self
     }
 

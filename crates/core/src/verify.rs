@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fg_comm::{check_traces, CheckKind, Phase, RankTrace, TraceRecorder, VerifyStats, Violation};
-use fg_nn::{init_params, LayerKind, NetworkSpec};
+use fg_nn::{LayerKind, NetworkSpec};
 use fg_tensor::shuffle::ShufflePlan;
 use fg_tensor::{Box4, ProcGrid, Shape4, TensorDist};
 
@@ -109,16 +109,13 @@ impl std::fmt::Display for VerifyReport {
 pub(crate) fn verify_plans(
     spec: &NetworkSpec,
     strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[Vec<LayerPlan>],
     mutate_traces: impl FnOnce(&mut Vec<RankTrace>),
 ) -> VerifyReport {
     let start = Instant::now();
     let world = strategy.world_size();
-    // Parameter payload sizes: materialize a throwaway init so the
-    // traced gradient-allreduce counts come from the same code path the
-    // runtime uses.
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    let param_elems = spec.param_counts();
     let names: Vec<String> = layers.iter().map(|l| l.base().name.clone()).collect();
 
     let mut traces: Vec<RankTrace> = (0..world)
@@ -136,12 +133,12 @@ pub(crate) fn verify_plans(
 pub(crate) fn record_traces(
     spec: &NetworkSpec,
     strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[Vec<LayerPlan>],
     oracle: Option<&dyn ComputeOracle>,
 ) -> Vec<RankTrace> {
     let world = strategy.world_size();
-    let param_elems: Vec<usize> = init_params(spec, 0).iter().map(|p| p.len()).collect();
+    let param_elems = spec.param_counts();
     (0..world)
         .map(|rank| record_rank(strategy, layers, plans, &param_elems, rank, world, oracle))
         .collect()
@@ -150,7 +147,7 @@ pub(crate) fn record_traces(
 /// Symbolically execute one rank's plans in exact scheduler order.
 fn record_rank(
     strategy: &Strategy,
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[Vec<LayerPlan>],
     param_elems: &[usize],
     rank: usize,
@@ -224,7 +221,7 @@ fn trace_cx<'a>(
 /// cannot see — region identity of halos and partition-exactness of
 /// shuffles.
 fn check_plan_geometry(
-    layers: &[Box<dyn DistLayer>],
+    layers: &[DistLayer],
     plans: &[Vec<LayerPlan>],
     world: usize,
     violations: &mut Vec<Violation>,

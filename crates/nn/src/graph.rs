@@ -192,6 +192,12 @@ impl NetworkSpec {
     /// Total learnable parameter count given input shapes (conv weights
     /// are `F·C·K²` etc.).
     pub fn param_count(&self) -> usize {
+        self.param_counts().iter().sum()
+    }
+
+    /// Learnable parameter count of each layer — the lengths
+    /// [`crate::init_params`] produces, derived from the shapes alone.
+    pub fn param_counts(&self) -> Vec<usize> {
         let shapes = self.shapes();
         self.layers
             .iter()
@@ -208,7 +214,7 @@ impl NetworkSpec {
                 }
                 _ => 0,
             })
-            .sum()
+            .collect()
     }
 
     /// Longest path (by `weight(layer)`) from any source to any sink,

@@ -95,6 +95,8 @@ mod tests {
             }
             other => panic!("expected bn params, got {other:?}"),
         }
+        let lens: Vec<usize> = p.iter().map(|l| l.len()).collect();
+        assert_eq!(lens, net.param_counts());
     }
 
     #[test]

@@ -134,6 +134,19 @@ pub enum CheckpointError {
         /// The grid the caller tried to load it into.
         requested: ProcGrid,
     },
+    /// The checkpoint's parameters do not fit the network spec it was
+    /// loaded against: a different layer count, or a layer whose
+    /// parameter length differs.
+    SpecMismatch {
+        /// The first layer whose parameter length differs (`None`: the
+        /// layer counts differ).
+        layer: Option<usize>,
+        /// What the spec expects: the layer's parameter length, or the
+        /// layer count.
+        expected: usize,
+        /// What the checkpoint holds.
+        found: usize,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -202,6 +215,20 @@ impl fmt::Display for CheckpointError {
                      into grid {requested} (world {}); re-shard it first",
                     saved.size(),
                     requested.size()
+                )
+            }
+            CheckpointError::SpecMismatch { layer: Some(l), expected, found } => {
+                write!(
+                    f,
+                    "checkpoint does not fit the spec: layer {l} holds {found} parameters, \
+                     the spec expects {expected}"
+                )
+            }
+            CheckpointError::SpecMismatch { layer: None, expected, found } => {
+                write!(
+                    f,
+                    "checkpoint does not fit the spec: it holds {found} layers, the spec has \
+                     {expected}"
                 )
             }
         }

@@ -92,6 +92,12 @@ if [ "$quick" -eq 0 ]; then
     cargo build --release --offline
 fi
 
+# perfbench/ is a package of its own (not a workspace member), so the
+# workspace steps above never compile it. Type-check it against the
+# library so a refactor that breaks the benchmark fails here.
+step "cargo check perfbench (benchmark against the library)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 # Run every test under the deadlock watchdog (a hung collective fails
 # with a wait-graph diagnostic instead of stalling the CI job) and with
 # end-to-end message integrity envelopes on (every world-internal send
